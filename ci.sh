@@ -4,11 +4,12 @@
 # Tier 1 (must always pass, run first):
 #   cargo build --release
 #   cargo test -q
-# Then: the tier-1 suite re-run under the multi-process shuffle backend
-# (P3C_BACKEND=process:2), the parallel-kernel bit-identity tests swept
-# over P3C_THREADS, the lane-kernel bit-identity tests swept over
-# P3C_LANES, the kernels/codec/backend/service/recovery benchmarks at
-# smoke scale, archiving target/ci/BENCH_*.json (results/ keeps the
+# Then: the p3c-core unit tests, the tier-1 suite re-run under the
+# multi-process shuffle backend (P3C_BACKEND=process:2), the
+# parallel-kernel bit-identity tests swept over P3C_THREADS, the
+# lane-kernel bit-identity tests swept over P3C_LANES, the
+# kernels/codec/backend/service/recovery benchmarks at smoke scale,
+# archiving target/ci/BENCH_*.json (results/ keeps the
 # committed full-scale numbers; the smoke runs must not overwrite them),
 # a stdin-scripted `p3c serve` session exercising the service line
 # protocol under a tight LRU cache budget, a crash-recovery smoke
@@ -38,6 +39,12 @@ cargo build --release
 
 echo "==> tier 1: cargo test -q"
 cargo test -q
+
+# The root package's suite does not include the crates' own unit tests;
+# run p3c-core's (support-counting kernels, MR core generation, the
+# incremental service's counters) explicitly.
+echo "==> p3c-core unit tests"
+cargo test -q -p p3c-core
 
 # Workspace binaries the later legs invoke (experiments, the p3c CLI
 # that hosts the worker subcommand, the audit tool) are not part of the

@@ -87,7 +87,11 @@ pub struct P3cParams {
     /// job-submission latency).
     pub t_gen: usize,
     /// Collected-candidate count that triggers a proving job in
-    /// multi-level candidate collection (the paper's `T_c` = 3·10⁴).
+    /// multi-level candidate collection (the paper's `T_c` = 3·10⁴). A
+    /// speculative level (generated from an unproven batch) that would
+    /// take the batch past `t_c` while growing is never collected: the
+    /// batch is proven without it and the level regenerated from the
+    /// proven signatures.
     pub t_c: usize,
     /// Maximum signature dimensionality explored (a safety bound; the
     /// paper's generator uses clusters of at most 10 dimensions).
@@ -95,7 +99,11 @@ pub struct P3cParams {
     /// Safety valve against combinatorial candidate explosion at very
     /// loose Poisson thresholds: levels with more candidates are
     /// truncated to the lexicographically first this-many (recorded in
-    /// `CoreGenStats::truncated_levels`). `0` disables the cap.
+    /// `CoreGenStats::truncated_levels`). `0` disables the cap. Only
+    /// levels generated from proven signatures are truncated; a
+    /// speculative level of multi-level collection above the cap is
+    /// never truncated but regenerated from the proven level below, so
+    /// the MR pipelines truncate exactly where the serial ones do.
     pub max_candidates_per_level: usize,
     /// Worker threads for the serial-path kernels (the EM E-step and the
     /// columnar binning scan, block-parallelized over the engine worker

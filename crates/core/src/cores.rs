@@ -149,6 +149,18 @@ pub fn generate_candidates(
     level: &[Signature],
     prune_against: &HashSet<Signature>,
 ) -> Vec<Signature> {
+    generate_candidates_within(level, prune_against, usize::MAX)
+        .expect("no level exceeds usize::MAX candidates")
+}
+
+/// [`generate_candidates`] that gives up as soon as more than `limit`
+/// candidates have been produced (`None`) — multi-level collection's
+/// bound on a speculative level ([`crate::mr::coregen`]).
+pub(crate) fn generate_candidates_within(
+    level: &[Signature],
+    prune_against: &HashSet<Signature>,
+    limit: usize,
+) -> Option<Vec<Signature>> {
     let mut sorted: Vec<&Signature> = level.iter().collect();
     sorted.sort();
     sorted.dedup();
@@ -157,6 +169,9 @@ pub fn generate_candidates(
         for i in start..end {
             for j in (i + 1)..end {
                 if let Some(cand) = join_in_bucket(sorted[i], sorted[j], prune_against) {
+                    if out.len() == limit {
+                        return None;
+                    }
                     out.push(cand);
                 }
             }
@@ -164,7 +179,7 @@ pub fn generate_candidates(
     }
     // Prefix-pair generation is duplicate-free; sorting suffices.
     out.sort();
-    out
+    Some(out)
 }
 
 /// Bucket boundaries `(start, end)` over a sorted signature list: maximal

@@ -14,9 +14,9 @@
 //!   (minimum-volume-ball) outlier detection, and **AI proving**.
 //! * [`mr::P3cPlusMr`] — P3C+ decomposed into MapReduce jobs on the
 //!   [`p3c_mapreduce::Engine`] (Section 5): histogram job, parallel
-//!   candidate generation with multi-level collection, RSSC-accelerated
-//!   candidate proving, EM init/iteration jobs, OD/MVB jobs, attribute
-//!   inspection and interval tightening jobs.
+//!   candidate generation with bounded multi-level collection,
+//!   interval-bitmap candidate proving, EM init/iteration jobs, OD/MVB
+//!   jobs, attribute inspection and interval tightening jobs.
 //! * [`mr::P3cPlusMrLight`] — the Light variant (Section 6): skips EM and
 //!   outlier detection entirely and reads clusters straight off the
 //!   cluster cores, using unique-support-set membership for attribute
@@ -50,6 +50,7 @@ pub mod p3c;
 pub mod p3cplus;
 pub mod redundancy;
 pub mod relevance;
+pub mod splitcount;
 pub mod support;
 pub mod types;
 

@@ -7,18 +7,31 @@
 //!    map-only job over pair-index ranges, with the signature list shipped
 //!    through the distributed cache (below `T_gen` it runs serially, since
 //!    "each MR job adds some overhead").
-//! 2. **Multi-level candidate collection** — candidates are not proven at
-//!    every level; levels accumulate until the paper's stop heuristic
-//!    `|Cand_j| = 0 ∨ (c_sum > T_c ∧ |Cand_j| > |Cand_{j−1}|)` fires, then
-//!    one proving job validates the whole batch.
-//! 3. **RSSC candidate proving** — mappers bin each point per relevant
-//!    attribute and AND the precomputed bit masks ([`crate::support::Rssc`]),
-//!    emitting per-split support counts; reducers sum them.
+//! 2. **Bounded multi-level candidate collection** — candidates are not
+//!    proven at every level. While a batch is open, the next level is
+//!    generated *speculatively* from the batch's unproven top level, and
+//!    the paper's stop heuristic `c_sum > T_c ∧ |Cand_j| > |Cand_{j−1}|`
+//!    is checked against it *before* it joins the batch; a speculative
+//!    level above `max_candidates_per_level` is too big as well.
+//!    Generation gives up as soon as the level crosses that bound. A
+//!    too-big level never joins: the open batch is proven with one job
+//!    and level j is regenerated from the proven level j−1, where the
+//!    serial safety valve applies exactly as in
+//!    [`crate::cores::generate_cluster_cores`]. A batch's first level has
+//!    no collected predecessor, so it is proven alone once it exceeds
+//!    `T_c` by itself.
+//! 3. **Interval-bitmap candidate proving** — each mapper builds one
+//!    bitmap over its split's rows per distinct interval of the batch and
+//!    counts every candidate as an AND of its intervals' bitmaps, sharing
+//!    prefix ANDs along the sorted batch
+//!    ([`crate::splitcount::SplitCounter`]); it emits per-split support
+//!    counts and reducers sum them.
 
 use crate::config::P3cParams;
 use crate::cores::{filter_maximal, ClusterCore, CoreGenStats, SupportTester};
 use crate::mr::SigMsg;
-use crate::support::{Rssc, SupportTable};
+use crate::splitcount::SplitCounter;
+use crate::support::SupportTable;
 use crate::types::{Interval, Signature};
 use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer};
 // audit: unordered-ok — HashSet here backs membership probes only
@@ -27,27 +40,25 @@ use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
+/// Distributed-cache charge for shipping a signature list to mappers.
+fn signature_bytes(sigs: &[Signature]) -> usize {
+    sigs.iter().map(|s| 4 + s.len() * 32).sum()
+}
+
 // ------------------------------------------------------------- proving --
 
-/// Mapper for the proving job: per-split RSSC support counting.
+/// Mapper for the proving job: split-local interval-bitmap counting.
 struct ProveMapper {
-    rssc: Arc<Rssc>,
+    counter: Arc<SplitCounter>,
 }
 
 impl<'a> Mapper<&'a [f64], usize, u64> for ProveMapper {
     fn map(&self, row: &&'a [f64], out: &mut Emitter<usize, u64>) {
-        for idx in self.rssc.candidates_of(row) {
-            out.emit(idx, 1);
-        }
+        self.map_split(std::slice::from_ref(row), out);
     }
 
     fn map_split(&self, split: &[&'a [f64]], out: &mut Emitter<usize, u64>) {
-        let mut counts = vec![0u64; self.rssc.num_candidates()];
-        let mut scratch = Vec::new();
-        for row in split {
-            self.rssc.count_into(row, &mut counts, &mut scratch);
-        }
-        for (idx, c) in counts.into_iter().enumerate() {
+        for (idx, c) in self.counter.count(split).into_iter().enumerate() {
             if c > 0 {
                 out.emit(idx, c);
             }
@@ -71,13 +82,13 @@ pub fn proving_job(
     if candidates.is_empty() {
         return Ok(Vec::new());
     }
-    let rssc = Arc::new(Rssc::build(candidates));
-    let cache_bytes = rssc.byte_size();
     let result = engine.run_with_cache(
         "p3c-prove-candidates",
         rows,
-        cache_bytes,
-        &ProveMapper { rssc },
+        signature_bytes(candidates),
+        &ProveMapper {
+            counter: Arc::new(SplitCounter::new(candidates)),
+        },
         &SumReducer,
     )?;
     let mut counts = vec![0u64; candidates.len()];
@@ -131,6 +142,24 @@ pub fn generate_candidates_mr(
     prune_against: &HashSet<Signature>,
     t_gen: usize,
 ) -> Result<Vec<Signature>, MrError> {
+    Ok(
+        generate_candidates_within_mr(engine, level, prune_against, t_gen, usize::MAX)?
+            .expect("no level exceeds usize::MAX candidates"),
+    )
+}
+
+/// [`generate_candidates_mr`] bounded by `limit`: `None` when the level
+/// has more than `limit` candidates. The serial join gives up at the
+/// first candidate past the bound; the MR join runs to completion and is
+/// checked after.
+fn generate_candidates_within_mr(
+    engine: &Engine,
+    level: &[Signature],
+    // audit: unordered-ok — membership probes only, never iterated.
+    prune_against: &HashSet<Signature>,
+    t_gen: usize,
+    limit: usize,
+) -> Result<Option<Vec<Signature>>, MrError> {
     // Sort and bucket by (p−1)-prefix.
     let mut sorted: Vec<Signature> = level.to_vec();
     sorted.sort();
@@ -141,7 +170,11 @@ pub fn generate_candidates_mr(
         .map(|(s, e)| (e - s) * (e - s).saturating_sub(1) / 2)
         .sum();
     if join_pairs <= t_gen {
-        return Ok(crate::cores::generate_candidates(level, prune_against));
+        return Ok(crate::cores::generate_candidates_within(
+            level,
+            prune_against,
+            limit,
+        ));
     }
     // One record per bucket row: (i, end) means "join sorted[i] with
     // sorted[i+1..end]" — exact pair coverage with balanced tasks.
@@ -151,7 +184,7 @@ pub fn generate_candidates_mr(
         .collect();
     let level_arc = Arc::new(sorted);
     let prune_arc = Arc::new(prune_against.clone());
-    let cache_bytes: usize = level.iter().map(|s| 4 + s.len() * 32).sum();
+    let cache_bytes = signature_bytes(level);
     let result = engine.run_map_only_with_cache(
         "p3c-candidate-generation",
         &buckets,
@@ -167,7 +200,7 @@ pub fn generate_candidates_mr(
     for SigMsg(sig) in result.output {
         set.insert(sig);
     }
-    Ok(set.into_iter().collect())
+    Ok((set.len() <= limit).then(|| set.into_iter().collect()))
 }
 
 // ------------------------------------------- multi-level orchestration --
@@ -183,14 +216,18 @@ pub struct MrCoreGenResult {
     pub table: SupportTable,
     /// Per-level generation statistics.
     pub stats: CoreGenStats,
-    /// Proving jobs actually executed (multi-level collection batches).
-    pub proving_jobs: usize,
+    /// Levels counted by each proving job, in job order (one entry per
+    /// multi-level collection batch; they sum to
+    /// `stats.candidates_per_level.len()`).
+    pub batches: Vec<usize>,
 }
 
 /// Runs cluster-core generation with multi-level candidate collection
 /// (paper Section 5.3). Produces exactly the same proven set as the
 /// serial [`crate::cores::generate_cluster_cores`] — the collection
-/// heuristic only changes *when* supports are counted.
+/// heuristic only changes *when* supports are counted, and only levels
+/// generated from proven signatures ever meet the
+/// `max_candidates_per_level` valve.
 pub fn generate_cluster_cores_mr(
     engine: &Engine,
     intervals: &[Interval],
@@ -209,29 +246,53 @@ pub fn generate_cluster_cores_mr(
     // own subsignatures failed validation.
     // audit: unordered-ok — membership probes only, never iterated.
     let mut proven_set: HashSet<Signature> = HashSet::new();
-    let mut proving_jobs = 0usize;
+    let mut batches = Vec::new();
+    let cap = match params.max_candidates_per_level {
+        0 => usize::MAX,
+        cap => cap,
+    };
 
     // Level-1 candidates.
-    let mut level1: Vec<Signature> = intervals
+    let mut current: Vec<Signature> = intervals
         .iter()
         .map(|&iv| Signature::singleton(iv))
         .collect();
-    level1.sort();
-    level1.dedup();
+    current.sort();
+    current.dedup();
 
-    // The batch of levels collected since the last proving job.
+    // The levels collected since the last proving job; `csum` counts
+    // their candidates.
     let mut batch: Vec<Vec<Signature>> = Vec::new();
     let mut csum = 0usize;
-    let mut current = level1;
     let mut level = 1usize;
-    // Proven signatures of the last *proven* level (for generation once a
-    // batch closes); while collecting, generation chains off candidates.
-    let mut generation_basis: Vec<Signature>;
+    while !current.is_empty() && level <= params.max_levels {
+        if batch.is_empty() {
+            // Generated from proven signatures: the serial valve applies.
+            crate::cores::truncate_level(&mut current, params, &mut stats);
+        }
+        stats.candidates_per_level.push(current.len());
+        csum += current.len();
+        batch.push(current);
+        let top = batch.last().expect("level just collected");
 
-    loop {
-        if current.is_empty() || level > params.max_levels {
-            // Close any open batch.
-            if !batch.is_empty() {
+        // Speculate on the next level from the unproven top level, within
+        // the stop rule: it may join only if it does not grow past the
+        // top level once the batch exceeds t_c, and never above the valve.
+        // A batch's first level has no collected predecessor, so it is
+        // proven at once when it alone exceeds t_c.
+        let speculative = if batch.len() == 1 && csum > params.t_c {
+            None
+        } else {
+            let limit = top.len().max(params.t_c.saturating_sub(csum)).min(cap);
+            // audit: unordered-ok — membership probes only, never iterated.
+            let prune: HashSet<Signature> = top.iter().cloned().collect();
+            generate_candidates_within_mr(engine, top, &prune, params.t_gen, limit)?
+        };
+        current = match speculative {
+            Some(next) => next,
+            None => {
+                // Prove the open batch, then regenerate the next level
+                // from the just-proven top level.
                 let proven_now = prove_batch(
                     engine,
                     &batch,
@@ -242,56 +303,35 @@ pub fn generate_cluster_cores_mr(
                     &mut proven_set,
                     &mut stats,
                 )?;
-                proving_jobs += 1;
+                batches.push(batch.len());
+                let basis: Vec<Signature> = proven_now
+                    .iter()
+                    .filter(|(s, _)| s.len() == level)
+                    .map(|(s, _)| s.clone())
+                    .collect();
                 all_proven.extend(proven_now);
+                batch.clear();
+                csum = 0;
+                // audit: unordered-ok — membership probes only, never iterated.
+                let prune: HashSet<Signature> = basis.iter().cloned().collect();
+                generate_candidates_mr(engine, &basis, &prune, params.t_gen)?
             }
-            break;
-        }
-        crate::cores::truncate_level(&mut current, params, &mut stats);
-        stats.candidates_per_level.push(current.len());
-        csum += current.len();
-        batch.push(current.clone());
-
-        // Stop-collection heuristic (Section 5.3): always prove when the
-        // candidate set grew past the budget; otherwise keep collecting
-        // while the set shrinks.
-        let grew = batch
-            .len()
-            .checked_sub(2)
-            .map(|i| current.len() > batch[i].len())
-            .unwrap_or(false);
-        let close_batch = csum > params.t_c && (grew || batch.len() == 1);
-
-        if close_batch {
-            let proven_now = prove_batch(
-                engine,
-                &batch,
-                rows,
-                n,
-                &tester,
-                &mut table,
-                &mut proven_set,
-                &mut stats,
-            )?;
-            proving_jobs += 1;
-            // Next generation chains off the just-proven top level.
-            generation_basis = proven_now
-                .iter()
-                .filter(|(s, _)| s.len() == level)
-                .map(|(s, _)| s.clone())
-                .collect();
-            all_proven.extend(proven_now);
-            batch.clear();
-            csum = 0;
-        } else {
-            // Keep collecting: generate from the *candidates*.
-            generation_basis = current.clone();
-        }
-
-        // audit: unordered-ok — membership probes only, never iterated.
-        let prune: HashSet<Signature> = generation_basis.iter().cloned().collect();
-        current = generate_candidates_mr(engine, &generation_basis, &prune, params.t_gen)?;
+        };
         level += 1;
+    }
+    if !batch.is_empty() {
+        let proven_now = prove_batch(
+            engine,
+            &batch,
+            rows,
+            n,
+            &tester,
+            &mut table,
+            &mut proven_set,
+            &mut stats,
+        )?;
+        batches.push(batch.len());
+        all_proven.extend(proven_now);
     }
 
     stats.total_proven = all_proven.len();
@@ -303,7 +343,7 @@ pub fn generate_cluster_cores_mr(
         proven: all_proven,
         table,
         stats,
-        proving_jobs,
+        batches,
     })
 }
 
@@ -443,33 +483,108 @@ mod tests {
         let mr_sigs: Vec<&Signature> = mr.cores.iter().map(|c| &c.signature).collect();
         let serial_sigs: Vec<&Signature> = serial.cores.iter().map(|c| &c.signature).collect();
         assert_eq!(mr_sigs, serial_sigs);
-        assert!(mr.proving_jobs >= 1);
+        assert!(!mr.batches.is_empty());
+    }
+
+    /// Three overlapping planted subspace clusters over 7 attributes, with
+    /// nested relevant intervals, so Apriori runs several levels deep and
+    /// candidate sets both grow and shrink across levels.
+    fn layered_data() -> (Vec<Vec<f64>>, Vec<Interval>) {
+        let mut state = 0x5eedu64;
+        let mut unit = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let clusters: [(&[usize], f64, usize); 3] = [
+            (&[0, 1, 2, 3, 4], 0.2, 500),
+            (&[2, 3, 4, 5, 6], 0.6, 400),
+            (&[0, 1, 5, 6], 0.4, 300),
+        ];
+        let mut data = Vec::new();
+        for &(attrs, at, size) in &clusters {
+            for _ in 0..size {
+                let mut row: Vec<f64> = (0..7).map(|_| unit()).collect();
+                for &a in attrs {
+                    row[a] = at + 0.1 * unit();
+                }
+                data.push(row);
+            }
+        }
+        data.extend((0..800).map(|_| (0..7).map(|_| unit()).collect::<Vec<f64>>()));
+        let mut intervals = Vec::new();
+        for a in 0..7 {
+            for (lo, hi) in [(2, 2), (1, 2), (2, 3), (6, 6), (5, 6), (4, 4), (3, 4)] {
+                intervals.push(iv(a, lo, hi));
+            }
+        }
+        (data, intervals)
     }
 
     #[test]
-    fn multi_level_collection_with_tiny_tc() {
-        // t_c = 0 forces a proving job per level — the degenerate but
-        // valid corner of the heuristic.
-        let mut data = Vec::new();
-        for i in 0..200 {
-            let t = (i as f64 + 0.5) / 200.0;
-            data.push(vec![0.15 + 0.05 * t, 0.35 + 0.05 * t]);
-        }
-        for i in 0..200 {
-            let t = (i as f64 + 0.5) / 200.0;
-            data.push(vec![t, (t * 3.0).fract()]);
-        }
+    fn bounded_collection_matches_serial_and_respects_the_stop_rule() {
+        let (data, intervals) = layered_data();
         let rows: Vec<&[f64]> = data.iter().map(|r| r.as_slice()).collect();
-        let intervals = vec![iv(0, 1, 1), iv(1, 3, 4)];
-        let params = P3cParams {
-            t_c: 0,
-            alpha_poisson: 1e-6,
-            ..P3cParams::default()
-        };
-        let engine = Engine::with_defaults();
-        let result = generate_cluster_cores_mr(&engine, &intervals, &rows, &params).unwrap();
-        let serial = crate::cores::generate_cluster_cores(&intervals, &rows, &params);
-        assert_eq!(result.proven.len(), serial.proven.len());
+        let engine = Engine::new(MrConfig {
+            split_size: 300,
+            ..MrConfig::default()
+        });
+        let default = P3cParams::default();
+        let settings = [
+            (0, default.max_candidates_per_level),
+            (500, default.max_candidates_per_level),
+            (default.t_c, default.max_candidates_per_level),
+            (500, 400),
+            (default.t_c, 400),
+        ];
+        let mut valve_fired = false;
+        for (t_c, cap) in settings {
+            let params = P3cParams {
+                t_c,
+                max_candidates_per_level: cap,
+                alpha_poisson: 1e-6,
+                ..default.clone()
+            };
+            let serial = crate::cores::generate_cluster_cores(&intervals, &rows, &params);
+            let mr = generate_cluster_cores_mr(&engine, &intervals, &rows, &params).unwrap();
+            let label = format!("t_c={t_c} cap={cap}");
+            assert!(serial.stats.candidates_per_level.len() >= 4, "{label}");
+            assert_eq!(mr.proven, serial.proven, "{label}");
+            // Serial leaves expected supports to its caller; the proven
+            // list already pins the cores' signatures and supports.
+            assert_eq!(mr.cores.len(), serial.cores.len(), "{label}");
+            assert_eq!(
+                mr.stats.truncated_levels, serial.stats.truncated_levels,
+                "{label}"
+            );
+            valve_fired |= serial.stats.truncated_levels > 0;
+
+            // Replay every batch: no level after a batch's first may have
+            // tripped the stop rule or crossed the valve when it joined.
+            let sizes = &mr.stats.candidates_per_level;
+            assert_eq!(mr.batches.iter().sum::<usize>(), sizes.len(), "{label}");
+            let mut start = 0;
+            for &len in &mr.batches {
+                let levels = &sizes[start..start + len];
+                let mut csum = levels[0];
+                assert!(levels[0] <= cap, "{label}: {levels:?}");
+                assert!(len == 1 || levels[0] <= t_c, "{label}: {levels:?}");
+                for j in 1..len {
+                    csum += levels[j];
+                    let tripped = csum > t_c && levels[j] > levels[j - 1];
+                    assert!(!tripped && levels[j] <= cap, "{label}: {levels:?}");
+                }
+                start += len;
+            }
+            if t_c == 0 {
+                assert_eq!(mr.batches.len(), sizes.len(), "{label}");
+            } else if cap == default.max_candidates_per_level {
+                assert!(mr.batches.len() < sizes.len(), "{label}: {sizes:?}");
+            }
+        }
+        assert!(valve_fired, "the small cap must truncate a serial level");
     }
 
     #[test]
@@ -478,6 +593,6 @@ mod tests {
         let engine = Engine::with_defaults();
         let result = generate_cluster_cores_mr(&engine, &[], &rows, &P3cParams::default()).unwrap();
         assert!(result.cores.is_empty());
-        assert_eq!(result.proving_jobs, 0);
+        assert!(result.batches.is_empty());
     }
 }

@@ -9,8 +9,9 @@
 //! ```
 //!
 //! * [`histogram`] — the histogram-building job (Section 5.1),
-//! * [`coregen`] — parallel candidate generation, multi-level candidate
-//!   collection, and RSSC-based candidate proving (Section 5.3),
+//! * [`coregen`] — parallel candidate generation, bounded multi-level
+//!   candidate collection, and interval-bitmap candidate proving
+//!   (Section 5.3),
 //! * [`em`] — EM initialization and the two-jobs-per-iteration EM loop
 //!   (Section 5.4),
 //! * [`outlier`] — the OD job and the three MVB jobs (Section 5.5),

@@ -1008,7 +1008,7 @@ fn core_phase_dag(
                 };
                 let intervals = relevant_intervals(&hists.histograms, params.alpha_chi2);
                 stats.relevant_intervals = intervals.len();
-                // Projection pushdown: RSSC proving only ever tests the
+                // Projection pushdown: candidate proving only ever tests the
                 // relevant attributes, so fetch just those columns and
                 // run core generation in the projected attribute space.
                 let arel = relevant_attrs(&intervals);

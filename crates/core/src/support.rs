@@ -228,16 +228,6 @@ impl Rssc {
         }
     }
 
-    /// Number of candidate signatures this plan covers.
-    pub fn num_candidates(&self) -> usize {
-        self.num_candidates
-    }
-
-    /// Estimated broadcast size in bytes (for distributed-cache costing).
-    pub fn byte_size(&self) -> usize {
-        self.masks.iter().map(|m| m.len() * 8).sum::<usize>() + self.attrs.len() * 8
-    }
-
     /// Writes the candidate-membership bit vector of `point` into `acc`
     /// (`acc.len() == words`); returns false if there are no candidates.
     pub fn membership_into(&self, point: &[f64], acc: &mut [u64]) -> bool {
@@ -276,23 +266,6 @@ impl Rssc {
                 bits &= bits - 1;
             }
         }
-    }
-
-    /// The candidate indices containing `point` (allocating convenience).
-    pub fn candidates_of(&self, point: &[f64]) -> Vec<usize> {
-        let mut scratch = vec![0u64; self.words];
-        let mut out = Vec::new();
-        if !self.membership_into(point, &mut scratch) {
-            return out;
-        }
-        for (w, &word) in scratch.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                out.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-        out
     }
 }
 
@@ -371,9 +344,8 @@ mod tests {
         // Candidate 0 constrains attr 0 only; a point anywhere on attr 1
         // must still match (the paper's S2-in-Figure-3 case).
         let candidates = vec![Signature::new(vec![iv(0, 0, 4)])];
-        let rssc = Rssc::build(&candidates);
-        assert_eq!(rssc.candidates_of(&[0.3, 0.99]), vec![0]);
-        assert_eq!(rssc.candidates_of(&[0.9, 0.99]), Vec::<usize>::new());
+        let data = vec![vec![0.3, 0.99], vec![0.9, 0.99]];
+        assert_eq!(count_supports_rssc(&candidates, &rows(&data)), vec![1]);
     }
 
     #[test]
@@ -400,8 +372,8 @@ mod tests {
     fn empty_candidates() {
         let r: Vec<&[f64]> = vec![];
         assert!(count_supports_rssc(&[], &r).is_empty());
-        let rssc = Rssc::build(&[]);
-        assert_eq!(rssc.candidates_of(&[0.5]), Vec::<usize>::new());
+        let mut acc = vec![0u64; 1];
+        assert!(!Rssc::build(&[]).membership_into(&[0.5], &mut acc));
     }
 
     #[test]
@@ -412,17 +384,6 @@ mod tests {
         t.insert(s.clone(), 42.0);
         assert_eq!(t.get(&s), Some(42.0));
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn byte_size_is_positive_and_scales() {
-        let small = Rssc::build(&[Signature::new(vec![iv(0, 0, 1)])]);
-        let big_cands: Vec<Signature> = (0..200)
-            .map(|j| Signature::new(vec![Interval::new(j % 3, 0, 1, 10)]))
-            .collect();
-        let big = Rssc::build(&big_cands);
-        assert!(small.byte_size() > 0);
-        assert!(big.byte_size() > small.byte_size());
     }
 
     #[test]

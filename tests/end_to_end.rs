@@ -75,6 +75,34 @@ fn mr_and_serial_produce_identical_cluster_cores() {
 }
 
 #[test]
+fn mr_light_equals_serial_light_with_the_default_candidate_valve() {
+    // 40k×20, 5 clusters, 10% noise, generator seed 0: a layout whose
+    // level-4 candidates, joined before they are proven, yield over
+    // 100,000 level-5 candidates — past the default
+    // `max_candidates_per_level` — where serial Light has about 400.
+    // Multi-level collection must prove before such a level instead of
+    // truncating it, so the valve never fires and MR-Light stays equal
+    // to serial Light.
+    let data = generate(&SyntheticSpec {
+        n: 40_000,
+        d: 20,
+        num_clusters: 5,
+        noise_fraction: 0.1,
+        seed: 0,
+        ..SyntheticSpec::default()
+    });
+    let params = P3cParams::default();
+    let serial = P3cPlusLight::new(params.clone()).cluster(&data.dataset);
+    let eng = Engine::new(MrConfig::default());
+    let mr = P3cPlusMrLight::new(&eng, params)
+        .cluster(&data.dataset)
+        .unwrap();
+    assert_eq!(serial.stats.core_gen.truncated_levels, 0);
+    assert_eq!(mr.stats.core_gen.truncated_levels, 0);
+    assert!(mr.clustering == serial.clustering);
+}
+
+#[test]
 fn quality_measures_agree_on_orderings() {
     // A good clustering must dominate a bad one under every measure.
     let data = generate(&spec(3000, 3, 0.1, 3));
