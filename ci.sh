@@ -4,7 +4,7 @@
 # Tier 1 (must always pass, run first):
 #   cargo build --release
 #   cargo test -q
-# Then: the p3c-core unit tests, the tier-1 suite re-run under the
+# Then: every workspace crate's own tests, the tier-1 suite re-run under the
 # multi-process shuffle backend (P3C_BACKEND=process:2), the
 # parallel-kernel bit-identity tests swept over P3C_THREADS, the
 # lane-kernel bit-identity tests swept over P3C_LANES, the
@@ -40,11 +40,11 @@ cargo build --release
 echo "==> tier 1: cargo test -q"
 cargo test -q
 
-# The root package's suite does not include the crates' own unit tests;
-# run p3c-core's (support-counting kernels, MR core generation, the
-# incremental service's counters) explicitly.
-echo "==> p3c-core unit tests"
-cargo test -q -p p3c-core
+# The root package's suite does not include the crates' own tests (unit,
+# integration and doc tests of the engine, dataset store, journal, wire
+# protocol, service, core kernels, BoW, CLI and audit); run them all.
+echo "==> workspace tests: cargo test -q --workspace"
+cargo test -q --workspace
 
 # Workspace binaries the later legs invoke (experiments, the p3c CLI
 # that hosts the worker subcommand, the audit tool) are not part of the

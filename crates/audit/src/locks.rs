@@ -74,7 +74,6 @@ pub const LOCK_SCOPES: &[&str] = &[
     "crates/mapreduce/src/pool.rs",
     "crates/mapreduce/src/blockstore.rs",
     "crates/mapreduce/src/dataset.rs",
-    "crates/mapreduce/src/dag.rs",
     "crates/mapreduce/src/kernel.rs",
     "crates/mapreduce/src/distrib/",
     "crates/cli/src/serve.rs",

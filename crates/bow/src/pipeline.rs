@@ -5,10 +5,7 @@ use crate::rect::{merge_rectangles, Rect};
 use p3c_core::config::{OutlierMethod, P3cParams};
 use p3c_core::p3cplus::{P3cPlus, P3cPlusLight};
 use p3c_dataset::{Clustering, Dataset, ProjectedCluster};
-use p3c_mapreduce::{
-    rows_codec, take_dataset, DagError, DagScheduler, DatasetHandle, DatasetStore, Emitter, Engine,
-    JobGraph, JobKind, JobNode, Mapper, MrError, NodeCtx, Reducer, SchedulerChoice, Weighable,
-};
+use p3c_mapreduce::{Emitter, Engine, Mapper, MrError, Reducer, Weighable};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -153,8 +150,7 @@ impl Reducer<usize, Vec<f64>, RectMsg> for ClusterReducer {
 }
 
 /// Clusters one partition's sample with the plug-in P3C+ and returns the
-/// resulting rectangles — the per-reducer work of the serial pipeline,
-/// shared with the DAG driver's per-partition nodes.
+/// resulting rectangles — the per-reducer work of the pipeline.
 fn partition_rects(
     sample: Vec<Vec<f64>>,
     variant: BowVariant,
@@ -189,19 +185,6 @@ fn partition_rects(
         }
     }
     rects
-}
-
-/// Reducer of the DAG sampling job: materializes each partition's sample
-/// instead of clustering it in place, so the per-partition clusterings
-/// can run as concurrent DAG nodes downstream.
-struct CollectReducer {
-    sample_size: usize,
-}
-
-impl Reducer<usize, Vec<f64>, (usize, Vec<Vec<f64>>)> for CollectReducer {
-    fn reduce(&self, part: &usize, values: Vec<Vec<f64>>, out: &mut Vec<(usize, Vec<Vec<f64>>)>) {
-        out.push((*part, values.into_iter().take(self.sample_size).collect()));
-    }
 }
 
 /// Mapper of the final assignment job: first containing merged rectangle
@@ -340,201 +323,6 @@ impl<'e> Bow<'e> {
             strategy_used,
         })
     }
-
-    /// Clusters through the chosen scheduler: `Serial` is [`Self::cluster`],
-    /// `Dag` is [`Self::cluster_dag`].
-    pub fn cluster_with(
-        &self,
-        data: &Dataset,
-        scheduler: SchedulerChoice,
-    ) -> Result<BowResult, MrError> {
-        match scheduler {
-            SchedulerChoice::Serial => self.cluster(data),
-            SchedulerChoice::Dag => self.cluster_dag(data),
-        }
-    }
-
-    /// The BoW pipeline as a job graph (`bow`): the sampling job
-    /// materializes each partition's sample, one node per partition
-    /// clusters its sample — those nodes run concurrently, all reading
-    /// the cached sample dataset — and a final node merges the
-    /// rectangles (in partition order) and assigns every point.
-    ///
-    /// Per-partition results equal the serial pipeline's; only the
-    /// pre-merge rectangle *order* differs (partition order here, shuffle
-    /// partition order there), so the merged clustering may differ from
-    /// [`Self::cluster`] while remaining deterministic run to run.
-    pub fn cluster_dag(&self, data: &Dataset) -> Result<BowResult, MrError> {
-        let n = data.len();
-        let strategy_used = self.effective_strategy(n);
-        let budget = self.config.sample_size * self.config.num_partitions;
-        let keep = match strategy_used {
-            BowStrategy::ParC => 1.0,
-            _ if n == 0 => 0.0,
-            _ => (budget as f64 / n as f64).min(1.0),
-        };
-
-        let store = DatasetStore::new();
-        let rows_ds: DatasetHandle<Vec<Vec<f64>>> = DatasetHandle::new("bow-rows");
-        let owned: Vec<Vec<f64>> = data.row_refs().iter().map(|r| r.to_vec()).collect();
-        let bytes = owned.iter().map(|r| 8 * r.len() + 8).sum();
-        store.put_spillable(&rows_ds, owned, bytes, rows_codec());
-
-        let parts_ds: DatasetHandle<Vec<(usize, Vec<Vec<f64>>)>> = DatasetHandle::new("bow-parts");
-        let merged_ds: DatasetHandle<Vec<Rect>> = DatasetHandle::new("bow-merged");
-        let assign_ds: DatasetHandle<Vec<i64>> = DatasetHandle::new("bow-assignment");
-
-        let mut graph = JobGraph::new("bow");
-        graph.add(
-            JobNode::new("sample", JobKind::MapReduce, {
-                let (rows_ds, parts_ds) = (rows_ds.clone(), parts_ds.clone());
-                let (num_partitions, seed, sample_size) = (
-                    self.config.num_partitions,
-                    self.config.seed,
-                    self.config.sample_size,
-                );
-                move |ctx: &NodeCtx| {
-                    let rows = ctx.fetch(&rows_ds)?;
-                    let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-                    let result = ctx.engine.run(
-                        "bow-sample",
-                        &refs,
-                        &SampleMapper {
-                            num_partitions,
-                            keep,
-                            seed,
-                        },
-                        &CollectReducer { sample_size },
-                    )?;
-                    let parts = result.output;
-                    let bytes = parts
-                        .iter()
-                        .map(|(_, s)| 16 + s.iter().map(|r| 8 * r.len() + 8).sum::<usize>())
-                        .sum();
-                    ctx.put(&parts_ds, parts, bytes);
-                    Ok(())
-                }
-            })
-            .input(&rows_ds)
-            .output(&parts_ds),
-        );
-
-        let mut rect_handles: Vec<DatasetHandle<Vec<Rect>>> =
-            Vec::with_capacity(self.config.num_partitions);
-        for p in 0..self.config.num_partitions {
-            let rects_ds: DatasetHandle<Vec<Rect>> = DatasetHandle::new(format!("bow-rects-{p}"));
-            graph.add(
-                JobNode::new(format!("cluster-part-{p}"), JobKind::MapOnly, {
-                    let (parts_ds, rects_ds) = (parts_ds.clone(), rects_ds.clone());
-                    let params = self.config.params.clone();
-                    let (variant, width) = (self.config.variant, self.config.max_interval_width);
-                    move |ctx: &NodeCtx| {
-                        let parts = ctx.fetch(&parts_ds)?;
-                        let sample: Vec<Vec<f64>> = parts
-                            .iter()
-                            .find(|(q, _)| *q == p)
-                            .map(|(_, s)| s.clone())
-                            .unwrap_or_default();
-                        let rects = partition_rects(sample, variant, &params, width);
-                        let bytes = rects.iter().map(|r| 4 + r.dim() * 24).sum();
-                        ctx.put(&rects_ds, rects, bytes);
-                        Ok(())
-                    }
-                })
-                .input(&parts_ds)
-                .output(&rects_ds),
-            );
-            rect_handles.push(rects_ds);
-        }
-
-        graph.add({
-            let mut node = JobNode::new("merge-assign", JobKind::MapOnly, {
-                let (rows_ds, merged_ds, assign_ds) =
-                    (rows_ds.clone(), merged_ds.clone(), assign_ds.clone());
-                let rect_handles = rect_handles.clone();
-                let jaccard = self.config.merge_jaccard;
-                move |ctx: &NodeCtx| {
-                    let rows = ctx.fetch(&rows_ds)?;
-                    let mut rects: Vec<Rect> = Vec::new();
-                    for h in &rect_handles {
-                        rects.extend(ctx.fetch(h)?.iter().cloned());
-                    }
-                    let merged = merge_rectangles(rects, jaccard);
-                    let assignment: Vec<i64> = if merged.is_empty() {
-                        vec![-1; rows.len()]
-                    } else {
-                        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-                        let rects_arc = Arc::new(merged.clone());
-                        let cache = rects_arc.iter().map(|r| 4 + r.dim() * 24).sum();
-                        ctx.engine
-                            .run_map_only_with_cache(
-                                "bow-assign",
-                                &refs,
-                                cache,
-                                &AssignMapper { rects: rects_arc },
-                            )?
-                            .output
-                    };
-                    let merged_bytes = merged.iter().map(|r| 4 + r.dim() * 24).sum();
-                    ctx.put(&merged_ds, merged, merged_bytes);
-                    let bytes = 8 * assignment.len();
-                    ctx.put(&assign_ds, assignment, bytes);
-                    Ok(())
-                }
-            })
-            .input(&rows_ds)
-            .output(&merged_ds)
-            .output(&assign_ds);
-            for h in &rect_handles {
-                node = node.input(h);
-            }
-            node
-        });
-
-        DagScheduler::new(self.engine)
-            .run(&graph, &store)
-            .map_err(DagError::into_mr)?;
-
-        let mut before = 0usize;
-        for h in &rect_handles {
-            before += take_dataset(&store, h)?.len();
-        }
-        let merged: Vec<Rect> = take_dataset(&store, &merged_ds)?;
-        let after = merged.len();
-        if merged.is_empty() {
-            return Ok(BowResult {
-                clustering: Clustering::new(Vec::new(), (0..n).collect()),
-                rectangles_before_merge: before,
-                rectangles_after_merge: 0,
-                strategy_used,
-            });
-        }
-        let assignment: Vec<i64> = take_dataset(&store, &assign_ds)?;
-
-        let k = merged.len();
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
-        let mut outliers = Vec::new();
-        for (i, &label) in assignment.iter().enumerate() {
-            if label < 0 {
-                outliers.push(i);
-            } else {
-                members[label as usize].push(i);
-            }
-        }
-        let clusters: Vec<ProjectedCluster> = (0..k)
-            .filter(|&c| !members[c].is_empty())
-            .map(|c| {
-                let attrs: BTreeSet<usize> = merged[c].attrs().collect();
-                ProjectedCluster::new(members[c].clone(), attrs, merged[c].to_intervals())
-            })
-            .collect();
-        Ok(BowResult {
-            clustering: Clustering::new(clusters, outliers),
-            rectangles_before_merge: before,
-            rectangles_after_merge: after,
-            strategy_used,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -647,6 +435,7 @@ mod tests {
         let eng = engine();
         let result = Bow::new(&eng, BowConfig::default()).cluster(&ds).unwrap();
         assert_eq!(result.clustering.num_clusters(), 0);
+        assert_eq!(result.rectangles_after_merge, 0);
     }
 
     #[test]
@@ -705,76 +494,6 @@ mod tests {
         let r = Bow::new(&eng, config).cluster(&data.dataset).unwrap();
         assert!(r.clustering.num_clusters() >= 3);
         assert!(e4sc(&r.clustering, &data.ground_truth) > 0.4);
-    }
-
-    #[test]
-    fn dag_pipeline_is_deterministic_and_finds_clusters() {
-        let data = generate(&spec(4000, 3, 0.05, 11));
-        let run = || {
-            let eng = engine();
-            let config = BowConfig {
-                num_partitions: 4,
-                sample_size: 1000,
-                variant: BowVariant::Light,
-                ..BowConfig::default()
-            };
-            let result = Bow::new(&eng, config)
-                .cluster_with(&data.dataset, SchedulerChoice::Dag)
-                .unwrap();
-            let metrics = eng.cluster_metrics();
-            let dag = metrics
-                .dag_runs()
-                .iter()
-                .find(|d| d.dag_name == "bow")
-                .cloned()
-                .unwrap();
-            (result, dag)
-        };
-        let (r1, dag) = run();
-        let (r2, dag2) = run();
-        assert_eq!(r1.clustering, r2.clustering);
-        assert!(
-            r1.clustering.num_clusters() >= 3,
-            "clusters: {}",
-            r1.clustering.num_clusters()
-        );
-        let q = e4sc(&r1.clustering, &data.ground_truth);
-        assert!(q > 0.4, "E4SC = {q}");
-        assert!(r1.rectangles_after_merge <= r1.rectangles_before_merge);
-        assert!(r1.rectangles_before_merge >= 3);
-        // The four per-partition clusterings can overlap, all reading the
-        // one materialized sample dataset. Whether an overlap is actually
-        // observed in a single run depends on thread wake-up timing — the
-        // partition nodes only take a few hundred microseconds — so look
-        // across a bounded number of runs. (The scheduler's barrier-based
-        // unit test proves overlap deterministically; this checks it on a
-        // real workload.)
-        let mut high = dag.concurrency_high_water.max(dag2.concurrency_high_water);
-        for _ in 0..6 {
-            if high >= 2 {
-                break;
-            }
-            high = high.max(run().1.concurrency_high_water);
-        }
-        assert!(high >= 2, "partition clustering never overlapped: {high}");
-        assert!(
-            dag.cache_hits >= 4,
-            "sample dataset not re-used: {} hits",
-            dag.cache_hits
-        );
-        assert!(dag.node("cluster-part-0").is_some());
-        assert_eq!(dag.total_executions as usize, 2 + 4); // sample + 4 parts + merge-assign
-    }
-
-    #[test]
-    fn dag_empty_dataset() {
-        let ds = Dataset::from_rows(vec![]);
-        let eng = engine();
-        let result = Bow::new(&eng, BowConfig::default())
-            .cluster_dag(&ds)
-            .unwrap();
-        assert_eq!(result.clustering.num_clusters(), 0);
-        assert_eq!(result.rectangles_after_merge, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Argument parsing for the `p3c` binary (hand-rolled: the workspace's
 //! dependency budget has no CLI framework, and the grammar is small).
 
-use p3c_mapreduce::{BackendChoice, SchedulerChoice};
+use p3c_mapreduce::BackendChoice;
 use std::fmt;
 
 /// Which algorithm to run.
@@ -91,10 +91,7 @@ pub enum Command {
         output: OutputFormat,
         /// Report E4SC against the synthetic ground truth.
         evaluate: bool,
-        /// Job scheduler for the MR algorithms (serial chaining or the
-        /// DAG scheduler with materialized datasets).
-        scheduler: SchedulerChoice,
-        /// Dump the engine's `ClusterMetrics` (jobs + DAG runs) as JSON
+        /// Dump the engine's `ClusterMetrics` (per-job ledger) as JSON
         /// to this path after clustering.
         metrics_json: Option<String>,
         /// Worker threads for the engine and the serial-path kernels
@@ -212,7 +209,6 @@ fn parse_cluster<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command, 
     let mut alpha = 1e-10;
     let mut output = OutputFormat::Text;
     let mut evaluate = false;
-    let mut scheduler = SchedulerChoice::Serial;
     let mut metrics_json = None;
     let mut threads = None;
     let mut backend = None;
@@ -259,12 +255,6 @@ fn parse_cluster<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command, 
                 };
             }
             "--evaluate" | "-e" => evaluate = true,
-            "--scheduler" => {
-                let v = next_value(it, arg)?;
-                scheduler = SchedulerChoice::parse(v).ok_or_else(|| {
-                    ParseError(format!("unknown scheduler '{v}' (expected serial | dag)"))
-                })?;
-            }
             "--metrics-json" => metrics_json = Some(next_value(it, arg)?.to_string()),
             "--threads" | "-t" => {
                 threads = Some(
@@ -307,7 +297,6 @@ fn parse_cluster<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<Command, 
         alpha,
         output,
         evaluate,
-        scheduler,
         metrics_json,
         threads,
         backend,
@@ -494,8 +483,7 @@ CLUSTER OPTIONS:
       --alpha A          Poisson significance level                 [1e-10]
   -o, --output FMT       text | json                                [text]
   -e, --evaluate         report E4SC against the synthetic truth
-      --scheduler S      serial | dag (mr / mr-light / bow only)    [serial]
-      --metrics-json F   dump job + DAG metrics as JSON to file F
+      --metrics-json F   dump the per-job metrics as JSON to file F
   -t, --threads N        worker threads for the engine and kernels
                          (0 = all cores; results are bit-identical)
       --backend B        local | local-shuffle | process[:N] — MR
@@ -611,37 +599,23 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_and_metrics_flags() {
+    fn metrics_json_flag() {
         let parsed = parse(&args(
-            "cluster --synthetic 1000x10 -a mr --scheduler dag --metrics-json /tmp/m.json",
+            "cluster --synthetic 1000x10 -a mr --metrics-json /tmp/m.json",
         ))
         .unwrap();
         match parsed.command {
-            Command::Cluster {
-                scheduler,
-                metrics_json,
-                ..
-            } => {
-                assert_eq!(scheduler, SchedulerChoice::Dag);
+            Command::Cluster { metrics_json, .. } => {
                 assert_eq!(metrics_json.as_deref(), Some("/tmp/m.json"));
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Defaults: serial scheduler, no metrics dump.
+        // Default: no metrics dump.
         let parsed = parse(&args("cluster --synthetic 1000x10")).unwrap();
         match parsed.command {
-            Command::Cluster {
-                scheduler,
-                metrics_json,
-                ..
-            } => {
-                assert_eq!(scheduler, SchedulerChoice::Serial);
-                assert_eq!(metrics_json, None);
-            }
+            Command::Cluster { metrics_json, .. } => assert_eq!(metrics_json, None),
             other => panic!("unexpected {other:?}"),
         }
-        let err = parse(&args("cluster --synthetic 1000x10 --scheduler turbo")).unwrap_err();
-        assert!(err.0.contains("unknown scheduler"));
     }
 
     #[test]
@@ -747,6 +721,10 @@ mod tests {
         assert!(parse(&args("cluster --synthetic 10x2 --algorithm nope")).is_err());
         assert!(parse(&args("cluster --synthetic 10x2 --output xml")).is_err());
         assert!(parse(&args("generate --synthetic 10x2")).is_err());
+        // The MR pipelines have a single driver, so the retired scheduler
+        // flag is rejected, not silently ignored.
+        let err = parse(&args("cluster --synthetic 10x2 --scheduler dag")).unwrap_err();
+        assert!(err.0.contains("unknown flag"), "{}", err.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use p3c_core::p3cplus::{P3cPlus, P3cPlusLight};
 use p3c_datagen::{generate, SyntheticSpec};
 use p3c_dataset::{persist, Clustering, Dataset};
 use p3c_eval::e4sc;
-use p3c_mapreduce::{BackendChoice, Engine, MrConfig, SchedulerChoice};
+use p3c_mapreduce::{BackendChoice, Engine, MrConfig};
 use std::fmt;
 
 /// Execution errors (I/O, decoding, clustering failures).
@@ -106,7 +106,6 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
             alpha,
             output,
             evaluate,
-            scheduler,
             metrics_json,
             threads,
             backend,
@@ -144,14 +143,8 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
             if let Some(t) = threads {
                 params.threads = *t;
             }
-            let (clustering, metrics) = run_algorithm(
-                *algorithm,
-                &params,
-                &dataset,
-                *scheduler,
-                *threads,
-                backend.clone(),
-            )?;
+            let (clustering, metrics) =
+                run_algorithm(*algorithm, &params, &dataset, *threads, backend.clone())?;
             let mut text = render(&clustering, *output, *algorithm);
             if *evaluate {
                 if let Some(truth) = &truth {
@@ -166,9 +159,8 @@ pub fn execute(parsed: &ParsedArgs) -> Result<String, ExecError> {
                     serde_json::to_string_pretty(&metrics).expect("cluster metrics serialize");
                 std::fs::write(path, json + "\n")?;
                 text.push_str(&format!(
-                    "\nwrote metrics for {} job(s), {} DAG run(s) to {}\n",
+                    "\nwrote metrics for {} job(s) to {}\n",
                     metrics.num_jobs(),
-                    metrics.dag_runs().len(),
                     path
                 ));
             }
@@ -181,7 +173,6 @@ fn run_algorithm(
     algorithm: Algorithm,
     params: &P3cParams,
     dataset: &Dataset,
-    scheduler: SchedulerChoice,
     threads: Option<usize>,
     backend: Option<BackendChoice>,
 ) -> Result<(Clustering, p3c_mapreduce::ClusterMetrics), ExecError> {
@@ -202,13 +193,13 @@ fn run_algorithm(
         }
         Algorithm::Mr => {
             P3cPlusMr::new(&engine, params.clone())
-                .cluster_with(dataset, scheduler)
+                .cluster(dataset)
                 .map_err(mr_err)?
                 .clustering
         }
         Algorithm::MrLight => {
             P3cPlusMrLight::new(&engine, params.clone())
-                .cluster_with(dataset, scheduler)
+                .cluster(dataset)
                 .map_err(mr_err)?
                 .clustering
         }
@@ -219,7 +210,7 @@ fn run_algorithm(
                 ..BowConfig::default()
             };
             Bow::new(&engine, config)
-                .cluster_with(dataset, scheduler)
+                .cluster(dataset)
                 .map_err(mr_err)?
                 .clustering
         }
@@ -313,28 +304,13 @@ mod tests {
     }
 
     #[test]
-    fn dag_scheduler_matches_serial_output() {
-        for algo in ["mr", "mr-light"] {
-            let serial = run(&format!(
-                "cluster --synthetic 1500x8 -k 2 --seed 3 -a {algo} --scheduler serial"
-            ))
-            .unwrap();
-            let dag = run(&format!(
-                "cluster --synthetic 1500x8 -k 2 --seed 3 -a {algo} --scheduler dag"
-            ))
-            .unwrap();
-            assert_eq!(serial, dag, "{algo}");
-        }
-    }
-
-    #[test]
-    fn metrics_json_dump_records_dag_runs() {
+    fn metrics_json_dump_records_jobs() {
         let dir = std::env::temp_dir().join("p3c-cli-test-metrics");
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("metrics.json");
         let path_s = path.to_str().unwrap();
         let out = run(&format!(
-            "cluster --synthetic 1500x8 -k 2 --seed 3 -a mr-light --scheduler dag \
+            "cluster --synthetic 1500x8 -k 2 --seed 3 -a mr-light \
              --metrics-json {path_s}"
         ))
         .unwrap();
@@ -343,8 +319,7 @@ mod tests {
         match serde_json::from_str::<p3c_mapreduce::ClusterMetrics>(&json) {
             Ok(metrics) => {
                 assert!(metrics.num_jobs() > 0);
-                assert!(!metrics.dag_runs().is_empty());
-                assert!(metrics.dag_runs()[0].concurrency_high_water >= 1);
+                assert_eq!(metrics.jobs()[0].job_name, "p3c-histogram");
             }
             Err(e) => assert!(
                 e.to_string().contains("offline stub"),
@@ -367,8 +342,7 @@ mod tests {
         let json = std::fs::read_to_string(&path).unwrap();
         match serde_json::from_str::<p3c_mapreduce::ClusterMetrics>(&json) {
             Ok(metrics) => {
-                assert_eq!(metrics.num_jobs(), 0);
-                assert!(metrics.dag_runs().is_empty());
+                assert!(metrics.jobs().is_empty());
             }
             Err(e) => assert!(
                 e.to_string().contains("offline stub"),

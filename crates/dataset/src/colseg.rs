@@ -12,8 +12,8 @@
 //! The encoding is deliberately dependency-free and **bit-exact**: every
 //! `f64` is treated as its IEEE-754 bit pattern, so NaN payloads and
 //! signed infinities round-trip unchanged and a full reload reassembles
-//! the original buffer byte-for-byte — the invariant the DAG pipelines'
-//! byte-identity tests rest on.
+//! the original buffer byte-for-byte — the invariant the incremental
+//! service's batch-identity tests rest on when blocks spill.
 //!
 //! Per column, the encoder
 //! 1. XOR-deltas consecutive bit patterns (similar neighbours → deltas

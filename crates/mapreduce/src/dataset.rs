@@ -1,14 +1,11 @@
-//! Named, materialized datasets shared between the jobs of a DAG.
+//! Named, materialized datasets with a byte budget and spill.
 //!
 //! A [`DatasetStore`] is the "distributed file system + block cache" of
-//! the DAG scheduler ([`crate::dag`]): every job node reads its inputs
-//! from the store and materializes its outputs back into it, so shared
-//! inputs (e.g. the normalized row set) are loaded **once per pipeline**
-//! instead of once per job. The store is in-memory first; under a byte
-//! budget it evicts least-recently-used entries, *spilling* entries that
-//! carry a codec to the [`crate::BlockStore`] "HDFS-lite" and *dropping*
-//! entries marked recomputable (lineage re-executes their producer on
-//! the next read — Spark's RDD cache semantics).
+//! the incremental service ([`crate::service`]): tenants keep their
+//! appended row blocks in it under stable names. The store is in-memory
+//! first; under a byte budget it evicts least-recently-used entries,
+//! *spilling* entries that carry a codec to the [`crate::BlockStore`]
+//! "HDFS-lite" and loading them back on the next read.
 //!
 //! Spilling comes in two shapes:
 //!
@@ -22,11 +19,9 @@
 //!   and a plain [`DatasetStore::get`] upgrades to the full value on
 //!   demand, reusing whatever columns are already cached. Per-segment
 //!   traffic is metered (`segment_reads`, `segment_bytes_read`,
-//!   `bytes_saved_by_projection` in [`DatasetStoreStats`]) so the DAG
-//!   metrics can show what projection pushdown saved.
+//!   `bytes_saved_by_projection` in [`DatasetStoreStats`]).
 
 use crate::blockstore::BlockStore;
-use crate::engine::MrError;
 use crate::sync::{rank, RankedMutex};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -38,8 +33,7 @@ use std::sync::Arc;
 /// A typed, named reference to a dataset in a [`DatasetStore`].
 ///
 /// Handles are cheap to clone and carry the element type as a phantom,
-/// so graph wiring stays type-checked while the store itself is
-/// type-erased.
+/// so reads stay type-checked while the store itself is type-erased.
 pub struct DatasetHandle<T> {
     name: Arc<str>,
     _marker: PhantomData<fn() -> T>,
@@ -114,66 +108,12 @@ pub struct SegmentedCodec<T, C, V> {
     pub assemble_view: fn(&[u8], SegmentCols<C>) -> V,
     /// Reassembles the full value from the header and *all* segments in
     /// index order — the spill-reload "upgrade" path. Must reproduce the
-    /// encoded value exactly (the DAG byte-identity guarantee).
+    /// encoded value exactly (a reload is byte-identical to the original).
     pub assemble_full: fn(&[u8], Vec<Arc<C>>) -> T,
     /// Projects the requested segments out of an in-memory value — the
     /// cache-hit counterpart of decoding spilled segments. Must yield a
     /// view indistinguishable from the spilled path's.
     pub project: fn(&T, &[usize]) -> V,
-}
-
-/// Takes a finished dataset out of the store after a DAG run, mapping a
-/// missing or mistyped entry onto [`MrError::Dag`] for drivers whose
-/// public result type is `Result<_, MrError>`.
-pub fn take_dataset<T: Clone + Send + Sync + 'static>(
-    store: &DatasetStore,
-    handle: &DatasetHandle<T>,
-) -> Result<T, MrError> {
-    store
-        .get(handle)
-        .map(|v| (*v).clone())
-        .map_err(|e| MrError::Dag {
-            node: "<driver>".to_string(),
-            message: e.to_string(),
-        })
-}
-
-/// Built-in codec for the row-set dataset shared by the pipelines.
-pub fn rows_codec() -> DatasetCodec<Vec<Vec<f64>>> {
-    // The codec's `fn(&T)` shape forces `&Vec`, not `&[_]`.
-    #[allow(clippy::ptr_arg)]
-    fn encode(rows: &Vec<Vec<f64>>) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-        for row in rows {
-            out.extend_from_slice(&(row.len() as u64).to_le_bytes());
-            for v in row {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        out
-    }
-    fn decode(bytes: &[u8]) -> Vec<Vec<f64>> {
-        let mut at = 0usize;
-        let mut take8 = |buf: &[u8]| -> [u8; 8] {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&buf[at..at + 8]);
-            at += 8;
-            b
-        };
-        let n = u64::from_le_bytes(take8(bytes)) as usize;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            let d = u64::from_le_bytes(take8(bytes)) as usize;
-            let mut row = Vec::with_capacity(d);
-            for _ in 0..d {
-                row.push(f64::from_le_bytes(take8(bytes)));
-            }
-            rows.push(row);
-        }
-        rows
-    }
-    DatasetCodec { encode, decode }
 }
 
 /// Store access errors.
@@ -319,13 +259,8 @@ struct Entry {
     value: Option<AnyArc>,
     /// Caller-declared size estimate, used by the budget.
     bytes: usize,
-    /// Pinned entries are never evicted.
-    pins: usize,
     /// LRU clock value of the last touch.
     seq: u64,
-    /// Lineage can rebuild this dataset by re-running its producer, so
-    /// the budget may drop it without spilling.
-    recomputable: bool,
     codec: Option<Codec>,
     /// The block store holds an up-to-date encoded copy.
     spilled: bool,
@@ -360,7 +295,8 @@ enum SpillPlan {
     Segmented { header: Vec<u8>, segs: Vec<Vec<u8>> },
 }
 
-/// The materialized-dataset store shared by all nodes of a DAG run.
+/// The materialized-dataset store: named, type-erased values under an
+/// optional memory budget, spilled to a [`BlockStore`] when over it.
 pub struct DatasetStore {
     blockstore: Arc<BlockStore>,
     budget: Option<usize>,
@@ -407,21 +343,10 @@ impl DatasetStore {
         &self.blockstore
     }
 
-    /// Materializes a dataset. Overwrites any previous version (a
-    /// re-executed producer publishes fresh output).
+    /// Materializes a dataset the budget never evicts (it has no codec to
+    /// spill with). Overwrites any previous version.
     pub fn put<T: Send + Sync + 'static>(&self, handle: &DatasetHandle<T>, value: T, bytes: usize) {
-        self.insert(handle.name(), Arc::new(value), bytes, false, None);
-    }
-
-    /// Materializes a dataset the budget may *drop* from memory: its DAG
-    /// producer can re-create it through lineage.
-    pub fn put_recomputable<T: Send + Sync + 'static>(
-        &self,
-        handle: &DatasetHandle<T>,
-        value: T,
-        bytes: usize,
-    ) {
-        self.insert(handle.name(), Arc::new(value), bytes, true, None);
+        self.insert(handle.name(), Arc::new(value), bytes, None);
     }
 
     /// Materializes a dataset the budget may *spill* to the block store
@@ -451,7 +376,6 @@ impl DatasetStore {
             handle.name(),
             Arc::new(value),
             bytes,
-            false,
             Some(Codec::Whole(erased)),
         );
     }
@@ -520,19 +444,11 @@ impl DatasetStore {
             handle.name(),
             Arc::new(value),
             bytes,
-            false,
             Some(Codec::Segmented(erased)),
         );
     }
 
-    fn insert(
-        &self,
-        name: &str,
-        value: AnyArc,
-        bytes: usize,
-        recomputable: bool,
-        codec: Option<Codec>,
-    ) {
+    fn insert(&self, name: &str, value: AnyArc, bytes: usize, codec: Option<Codec>) {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let seq = inner.clock;
@@ -554,9 +470,7 @@ impl DatasetStore {
             Entry {
                 value: Some(value),
                 bytes,
-                pins: 0,
                 seq,
-                recomputable,
                 codec,
                 spilled: false,
                 spilled_total: 0,
@@ -803,29 +717,6 @@ impl DatasetStore {
         Ok(view)
     }
 
-    /// Whether the dataset is materialized (in memory or spilled).
-    pub fn has(&self, name: &str) -> bool {
-        let inner = self.inner.lock();
-        inner
-            .entries
-            .get(name)
-            .is_some_and(|e| e.value.is_some() || e.spilled)
-    }
-
-    /// Pins a dataset against eviction while a node consumes it.
-    pub fn pin(&self, name: &str) {
-        if let Some(e) = self.inner.lock().entries.get_mut(name) {
-            e.pins += 1;
-        }
-    }
-
-    /// Releases one [`DatasetStore::pin`].
-    pub fn unpin(&self, name: &str) {
-        if let Some(e) = self.inner.lock().entries.get_mut(name) {
-            e.pins = e.pins.saturating_sub(1);
-        }
-    }
-
     /// Removes a dataset everywhere (memory and spill).
     pub fn remove(&self, name: &str) -> bool {
         let mut inner = self.inner.lock();
@@ -841,35 +732,6 @@ impl DatasetStore {
                         .stats
                         .live_spill_bytes
                         .saturating_sub(e.spilled_total as u64);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drops the in-memory copy *and* any spilled copy, but keeps the
-    /// entry registered — the next `get` reports it missing. This models
-    /// losing a cached partition; the DAG scheduler's lineage recovery
-    /// re-executes the producer to rebuild it.
-    pub fn drop_cached(&self, name: &str) -> bool {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        match inner.entries.get_mut(name) {
-            Some(e) => {
-                if e.value.take().is_some() {
-                    inner.mem_bytes -= e.bytes;
-                }
-                e.partial.clear();
-                inner.mem_bytes -= std::mem::take(&mut e.partial_bytes);
-                if e.spilled {
-                    e.spilled = false;
-                    let dead = std::mem::take(&mut e.spilled_total);
-                    e.seg_sizes.clear();
-                    e.header = None;
-                    self.delete_spill(name);
-                    inner.stats.live_spill_bytes =
-                        inner.stats.live_spill_bytes.saturating_sub(dead as u64);
                 }
                 true
             }
@@ -903,8 +765,8 @@ impl DatasetStore {
     /// Evicts LRU entries until the budget holds. `exempt` (the entry
     /// just inserted or reloaded) is never evicted, so a single oversized
     /// dataset still materializes. Victims are in-memory entries that can
-    /// be spilled or recomputed, plus partial-column caches of spilled
-    /// entries (clearing one loses nothing — the segments stay on disk).
+    /// be spilled, plus partial-column caches of spilled entries (clearing
+    /// one loses nothing — the segments stay on disk).
     fn enforce_budget(&self, inner: &mut Inner, exempt: &str) {
         let Some(budget) = self.budget else { return };
         while inner.mem_bytes > budget {
@@ -913,8 +775,7 @@ impl DatasetStore {
                 .iter()
                 .filter(|(name, e)| {
                     name.as_str() != exempt
-                        && e.pins == 0
-                        && ((e.value.is_some() && (e.codec.is_some() || e.recomputable))
+                        && ((e.value.is_some() && e.codec.is_some())
                             || (e.value.is_none() && e.partial_bytes > 0))
                 })
                 .min_by_key(|(_, e)| e.seq)
@@ -948,8 +809,8 @@ impl DatasetStore {
                             segs: (0..d).map(|j| (codec.encode_segment)(value, j)).collect(),
                         }
                     }
-                    // No codec (recomputable) or already spilled: drop
-                    // the in-memory copy outright.
+                    // Already spilled (a reloaded copy): drop the
+                    // in-memory copy outright.
                     _ => SpillPlan::Nothing,
                 }
             };
@@ -1027,6 +888,29 @@ mod tests {
         (0..4).map(|i| vec![i as f64 + k as f64, 0.5]).collect()
     }
 
+    /// A toy whole-buffer codec over two-column rows: the values as raw
+    /// little-endian `f64`s, row-major.
+    fn rows_codec() -> DatasetCodec<Vec<Vec<f64>>> {
+        DatasetCodec {
+            encode: |rows| {
+                rows.iter()
+                    .flatten()
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect()
+            },
+            decode: |bytes| {
+                bytes
+                    .chunks_exact(16)
+                    .map(|row| {
+                        row.chunks_exact(8)
+                            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                            .collect()
+                    })
+                    .collect()
+            },
+        }
+    }
+
     /// View type of the test segmented codec: `(attr, column)` pairs.
     type ColsView = Vec<(usize, Vec<f64>)>;
 
@@ -1077,8 +961,6 @@ mod tests {
         store.put(&h("a"), rows(0), 64);
         let got = store.get(&h("a")).unwrap();
         assert_eq!(*got, rows(0));
-        assert!(store.has("a"));
-        assert!(!store.has("b"));
         let stats = store.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 0);
@@ -1115,7 +997,6 @@ mod tests {
         assert_eq!(stats.live_spill_bytes, stats.spill_bytes);
         assert_eq!(stats.spill_raw_bytes, 64);
         assert!(store.mem_bytes() <= 100);
-        assert!(store.has("old"), "spilled datasets stay materialized");
         // Reading it back decodes the spilled copy (a miss + a load)...
         assert_eq!(*store.get(&h("old")).unwrap(), rows(1));
         let stats = store.stats();
@@ -1128,50 +1009,15 @@ mod tests {
     }
 
     #[test]
-    fn budget_drops_recomputable_entries() {
-        let store = DatasetStore::with_budget(100);
-        store.put_recomputable(&h("derived"), rows(1), 64);
-        store.put(&h("pinnedless"), rows(2), 64);
-        // "derived" has no codec but is recomputable → dropped outright.
-        assert_eq!(store.stats().spills, 0);
-        assert_eq!(store.stats().evictions, 1);
-        assert!(!store.has("derived"), "dropped datasets report missing");
-        assert!(store.has("pinnedless"));
-    }
-
-    #[test]
-    fn non_spillable_non_recomputable_entries_survive_budget() {
+    fn non_spillable_entries_survive_budget() {
         let store = DatasetStore::with_budget(50);
         store.put(&h("a"), rows(1), 64);
         store.put(&h("b"), rows(2), 64);
-        // Neither entry can be spilled or recomputed: the budget is
-        // overshot rather than losing data.
-        assert!(store.has("a") && store.has("b"));
+        // Neither entry can be spilled: the budget is overshot rather
+        // than losing data.
+        assert_eq!(*store.get(&h("a")).unwrap(), rows(1));
+        assert_eq!(*store.get(&h("b")).unwrap(), rows(2));
         assert_eq!(store.stats().evictions, 0);
-    }
-
-    #[test]
-    fn pinned_entries_are_not_evicted() {
-        let store = DatasetStore::with_budget(100);
-        store.put_spillable(&h("hot"), rows(1), 64, rows_codec());
-        store.pin("hot");
-        store.put_spillable(&h("cold"), rows(2), 64, rows_codec());
-        // "hot" is older but pinned; nothing else is evictable ("cold"
-        // is exempt as the fresh insert), so memory stays over budget.
-        assert_eq!(store.stats().evictions, 0);
-        store.unpin("hot");
-        store.put_spillable(&h("third"), rows(3), 64, rows_codec());
-        assert!(store.stats().evictions > 0);
-    }
-
-    #[test]
-    fn drop_cached_loses_the_dataset() {
-        let store = DatasetStore::new();
-        store.put(&h("a"), rows(0), 64);
-        assert!(store.drop_cached("a"));
-        assert!(!store.has("a"));
-        assert!(store.get(&h("a")).is_err());
-        assert!(!store.drop_cached("ghost"));
     }
 
     #[test]
@@ -1202,7 +1048,7 @@ mod tests {
             "cumulative spill volume must not decrease"
         );
         assert!(store.blockstore().read(&spill_file("a")).is_none());
-        // remove() and drop_cached() free live bytes the same way.
+        // remove() frees live bytes the same way.
         let store = DatasetStore::with_budget(100);
         store.put_spillable(&h("a"), rows(1), 64, rows_codec());
         store.put_spillable(&h("b"), rows(2), 64, rows_codec());
@@ -1212,22 +1058,12 @@ mod tests {
     }
 
     #[test]
-    fn rows_codec_roundtrip() {
-        let codec = rows_codec();
-        let data = vec![vec![0.25, -1.5, 3.0], vec![], vec![42.0]];
-        let encoded = (codec.encode)(&data);
-        assert_eq!((codec.decode)(&encoded), data);
-        let empty: Vec<Vec<f64>> = Vec::new();
-        assert_eq!((codec.decode)(&(codec.encode)(&empty)), empty);
-    }
-
-    #[test]
     fn remove_deletes_everything() {
         let store = DatasetStore::with_budget(60);
         store.put_spillable(&h("a"), rows(1), 64, rows_codec());
         store.put_spillable(&h("b"), rows(2), 64, rows_codec());
         assert!(store.remove("a"));
-        assert!(!store.has("a"));
+        assert!(store.get(&h("a")).is_err());
         assert!(!store.remove("a"));
     }
 

@@ -1,5 +1,5 @@
 //! Distributed execution backends: shared-nothing shuffle under the
-//! same `Job`/DAG API.
+//! same job API.
 //!
 //! The paper runs P3C+ on a real Hadoop cluster; this subsystem gives
 //! the engine the corresponding execution substrate (DESIGN.md §12):

@@ -5,7 +5,7 @@ use crate::distrib::backend::{Backend, BackendChoice, BackendError, MapOutput, S
 use crate::distrib::wire::{decode_from_slice, encode_to_vec, Wire};
 use crate::fault::{FaultPlan, StragglerPlan};
 use crate::kernel::{BlockPartials, CommitBoard, CounterLedger, ShuffleBuckets, WorkQueue};
-use crate::metrics::{ClusterMetrics, DagMetrics, JobMetrics};
+use crate::metrics::{ClusterMetrics, JobMetrics};
 use crate::weight::Weighable;
 use parking_lot::Mutex;
 use std::fmt;
@@ -82,14 +82,6 @@ pub enum MrError {
         /// How many attempts were made.
         attempts: usize,
     },
-    /// A DAG-scheduled pipeline failed at the named node (see
-    /// [`crate::dag`]); `message` is the rendered scheduler error.
-    Dag {
-        /// The failing DAG node.
-        node: String,
-        /// The rendered scheduler error.
-        message: String,
-    },
     /// A worker thread panicked inside user map or reduce code; the job
     /// is aborted rather than crashing the whole process.
     Panicked {
@@ -120,9 +112,6 @@ impl fmt::Display for MrError {
                     f,
                     "job '{job}': map task {task} failed after {attempts} attempts"
                 )
-            }
-            MrError::Dag { node, message } => {
-                write!(f, "DAG node '{node}': {message}")
             }
             MrError::Panicked { job, phase } => {
                 write!(f, "job '{job}': {phase} phase panicked in user code")
@@ -196,12 +185,6 @@ impl Engine {
     /// Clears the metrics ledger.
     pub fn reset_metrics(&self) {
         self.ledger.lock().reset();
-    }
-
-    /// Records a DAG run's metrics in the ledger (called by
-    /// [`crate::dag::DagScheduler`]).
-    pub(crate) fn record_dag(&self, metrics: DagMetrics) {
-        self.ledger.lock().record_dag(metrics);
     }
 
     /// Charges broadcast bytes for side data shipped to every map task of
@@ -374,7 +357,7 @@ impl Engine {
         // task and concatenating in split order makes the value order a
         // reducer sees independent of task *commit* order, so jobs with
         // order-sensitive float accumulation are byte-deterministic run
-        // to run (and serial-vs-DAG driver comparisons stay exact). The
+        // to run (and MR-vs-serial pipeline comparisons stay exact). The
         // property is model-checked on [`ShuffleBuckets`] itself (see
         // `crate::kernel` and the `loom_models` test).
         let partitions: Vec<ShuffleBuckets<(K, V)>> = (0..num_reducers)

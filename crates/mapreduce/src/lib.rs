@@ -21,10 +21,8 @@
 //!   ([`metrics`]); these drive the runtime/I/O figures of the evaluation.
 //! * **Block storage** — a tiny "HDFS-lite" ([`blockstore`]) used by the
 //!   examples to stage datasets as replicated blocks.
-//! * **DAG scheduling** — a [`JobGraph`] of MR jobs over named, cached
-//!   datasets ([`dag`], [`dataset`]): ready jobs run concurrently, shared
-//!   inputs load once, and lineage re-executes only lost ancestors after
-//!   a failure.
+//! * **Datasets** — a budgeted, spilling [`DatasetStore`] of named
+//!   values ([`dataset`]) that backs the incremental [`ClusterService`].
 //! * **Distributed backends** — a [`Backend`] seam over the shuffle data
 //!   plane ([`distrib`]): the in-process engine, an in-process shuffle
 //!   service, and a multi-process backend whose spawned workers serve
@@ -33,19 +31,14 @@
 //!
 //! # Example
 //!
-//! A two-node job graph: a map-reduce job counts word lengths into a
-//! `counts` dataset, and a downstream map-only job derives the most
-//! common length from it. The scheduler runs `count` first — `report`
-//! declares `counts` as an input — and materializes both datasets in the
-//! [`DatasetStore`].
+//! A word-length count: the mapper emits `(length, 1)` per word, the
+//! engine splits the input, shuffles by key and reduces each group, and
+//! the job's counters land in the engine's metrics ledger. The P3C+-MR
+//! pipelines chain jobs like this one, each feeding the next.
 //!
 //! ```
-//! use p3c_mapreduce::{
-//!     DagScheduler, DatasetHandle, DatasetStore, Emitter, Engine, JobGraph, JobKind, JobNode,
-//!     Mapper, MrConfig, NodeCtx, Reducer,
-//! };
+//! use p3c_mapreduce::{Emitter, Engine, Mapper, MrConfig, Reducer};
 //!
-//! /// Classic word-length count: length -> how many words.
 //! struct LenMapper;
 //! impl Mapper<String, usize, u64> for LenMapper {
 //!     fn map(&self, word: &String, out: &mut Emitter<usize, u64>) {
@@ -59,55 +52,30 @@
 //!     }
 //! }
 //!
-//! let engine = Engine::new(MrConfig::default());
-//! let store = DatasetStore::new();
-//!
-//! // Input dataset, loaded into the store once for the whole pipeline.
-//! let words: DatasetHandle<Vec<String>> = DatasetHandle::new("words");
-//! let counts: DatasetHandle<Vec<(usize, u64)>> = DatasetHandle::new("counts");
-//! let top: DatasetHandle<usize> = DatasetHandle::new("top-length");
-//! let data: Vec<String> =
+//! let engine = Engine::new(MrConfig {
+//!     split_size: 2,
+//!     ..MrConfig::default()
+//! });
+//! let words: Vec<String> =
 //!     ["map", "reduce", "shuffle", "ox", "fox"].iter().map(|s| s.to_string()).collect();
-//! store.put(&words, data, 64);
+//! let res = engine.run("wordlen", &words, &LenMapper, &SumReducer).unwrap();
 //!
-//! let mut graph = JobGraph::new("wordlen-pipeline");
-//! graph.add(
-//!     JobNode::new("count", JobKind::MapReduce, {
-//!         let (words, counts) = (words.clone(), counts.clone());
-//!         move |ctx: &NodeCtx| {
-//!             let input = ctx.fetch(&words)?;
-//!             let res = ctx.engine.run("wordlen", &input, &LenMapper, &SumReducer)?;
-//!             ctx.put(&counts, res.output, 16);
-//!             Ok(())
-//!         }
-//!     })
-//!     .input(&words)
-//!     .output(&counts),
-//! );
-//! graph.add(
-//!     JobNode::new("report", JobKind::MapOnly, {
-//!         let (counts, top) = (counts.clone(), top.clone());
-//!         move |ctx: &NodeCtx| {
-//!             let pairs = ctx.fetch(&counts)?;
-//!             let best = pairs.iter().max_by_key(|&&(len, n)| (n, len)).map(|p| p.0);
-//!             ctx.put(&top, best.unwrap_or(0), 8);
-//!             Ok(())
-//!         }
-//!     })
-//!     .input(&counts)
-//!     .output(&top),
-//! );
+//! let mut counts = res.output;
+//! counts.sort();
+//! assert_eq!(counts, vec![(2, 1), (3, 2), (6, 1), (7, 1)]);
+//! let top = counts.iter().max_by_key(|&&(len, n)| (n, len)).map(|p| p.0);
+//! assert_eq!(top, Some(3)); // two words of length 3
 //!
-//! let report = DagScheduler::new(&engine).run(&graph, &store).unwrap();
-//! assert_eq!(*store.get(&top).unwrap(), 3); // two words of length 3
-//! assert_eq!(report.metrics.total_executions, 2);
+//! let ledger = engine.cluster_metrics();
+//! assert_eq!(ledger.num_jobs(), 1);
+//! assert_eq!(ledger.jobs()[0].map_tasks, 3); // 5 words in splits of 2
+//! assert_eq!(ledger.jobs()[0].map_input_records, 5);
 //! ```
 #![warn(missing_docs)]
 
 pub mod api;
 pub mod blockstore;
 pub mod cache;
-pub mod dag;
 pub mod dataset;
 pub mod distrib;
 pub mod engine;
@@ -122,13 +90,8 @@ pub mod weight;
 pub use api::{Combiner, Emitter, Mapper, Reducer};
 pub use blockstore::BlockStore;
 pub use cache::DistributedCache;
-pub use dag::{
-    DagConfig, DagError, DagReport, DagScheduler, JobGraph, JobKind, JobNode, NodeCtx,
-    SchedulerChoice,
-};
 pub use dataset::{
-    rows_codec, take_dataset, DatasetCodec, DatasetError, DatasetHandle, DatasetStore,
-    DatasetStoreStats, SegmentedCodec,
+    DatasetCodec, DatasetError, DatasetHandle, DatasetStore, DatasetStoreStats, SegmentedCodec,
 };
 pub use distrib::{
     Backend, BackendChoice, BackendError, LocalBackend, MapOutputTracker, ProcessBackend,
@@ -136,7 +99,7 @@ pub use distrib::{
 };
 pub use engine::{stable_partition, Engine, JobOutput, MrConfig, MrError};
 pub use fault::FaultPlan;
-pub use metrics::{ClusterMetrics, DagMetrics, DagNodeMetrics, JobMetrics};
+pub use metrics::{ClusterMetrics, JobMetrics};
 pub use pool::{parallel_for_blocks, parallel_for_blocks_with, resolve_threads, run_workers};
 pub use service::{ClusterService, ServiceError, ServiceMetrics, Tenant};
 pub use weight::Weighable;

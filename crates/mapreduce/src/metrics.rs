@@ -82,99 +82,12 @@ impl JobMetrics {
     }
 }
 
-/// Per-node execution counters of one DAG run (see [`crate::dag`]).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DagNodeMetrics {
-    /// Node name as declared in the [`crate::dag::JobGraph`].
-    pub node: String,
-    /// The node's job kind ("map-only", "map-reduce", "map-combine-reduce").
-    pub kind: String,
-    /// Scheduled attempts (primary executions, incl. retried failures).
-    pub attempts: u64,
-    /// Total executions, including lineage-recovery re-runs.
-    pub executions: u64,
-    /// Executions triggered by lineage recovery of a lost output.
-    pub recoveries: u64,
-    /// Wall-clock spent executing this node (all attempts).
-    pub wall: Duration,
-}
-
-/// Metrics of one [`crate::dag::DagScheduler`] run, recorded into the
-/// engine ledger next to the per-job [`JobMetrics`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct DagMetrics {
-    /// The graph's name.
-    pub dag_name: String,
-    /// Per-node counters, in graph declaration order.
-    pub nodes: Vec<DagNodeMetrics>,
-    /// Maximum number of nodes observed executing at the same time.
-    pub concurrency_high_water: u64,
-    /// Node executions of any kind (scheduled attempts + recoveries).
-    pub total_executions: u64,
-    /// Executions that were lineage-recovery re-runs.
-    pub recovered_executions: u64,
-    /// Node attempts that failed (injected faults or job errors).
-    pub failed_node_attempts: u64,
-    /// Dataset-store reads served from memory during this run.
-    pub cache_hits: u64,
-    /// Dataset-store reads that missed memory during this run.
-    pub cache_misses: u64,
-    /// Datasets spilled to the block store during this run.
-    pub spills: u64,
-    /// Encoded bytes written by those spills.
-    pub spill_bytes: u64,
-    /// In-memory bytes of the datasets spilled during this run; with
-    /// [`DagMetrics::spill_bytes`] this gives the run's aggregate spill
-    /// compression ratio.
-    #[serde(default)]
-    pub spill_raw_bytes: u64,
-    /// Spilled datasets loaded back into memory during this run.
-    pub spill_loads: u64,
-    /// Column segments read from the block store during this run
-    /// (projected reads and segmented full reloads).
-    #[serde(default)]
-    pub segment_reads: u64,
-    /// Encoded bytes of those segment reads.
-    #[serde(default)]
-    pub segment_bytes_read: u64,
-    /// Encoded bytes that projected reads did not have to fetch during
-    /// this run — what column-projection pushdown saved.
-    #[serde(default)]
-    pub bytes_saved_by_projection: u64,
-    /// Datasets evicted from memory (spilled or dropped) during this run.
-    pub evictions: u64,
-    /// Shuffle-backend partition fetches across the run's jobs.
-    #[serde(default)]
-    pub shuffle_fetches: u64,
-    /// Shuffle-backend fetch retries across the run's jobs.
-    #[serde(default)]
-    pub fetch_retries: u64,
-    /// Worker processes (re)started across the run's jobs.
-    #[serde(default)]
-    pub worker_restarts: u64,
-    /// Bytes that physically moved through the shuffle backend across
-    /// the run's jobs.
-    #[serde(default)]
-    pub shuffle_bytes_moved: u64,
-    /// Wall-clock of the whole DAG run.
-    pub wall: Duration,
-}
-
-impl DagMetrics {
-    /// Looks up one node's counters by name.
-    pub fn node(&self, name: &str) -> Option<&DagNodeMetrics> {
-        self.nodes.iter().find(|n| n.node == name)
-    }
-}
-
 /// Accumulated metrics of every job an [`crate::Engine`] has executed —
 /// the paper's "number of MapReduce jobs needed for clustering
 /// determination" is `jobs().len()` on this ledger.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClusterMetrics {
     jobs: Vec<JobMetrics>,
-    #[serde(default)]
-    dag_runs: Vec<DagMetrics>,
 }
 
 impl ClusterMetrics {
@@ -187,18 +100,9 @@ impl ClusterMetrics {
         self.jobs.push(job);
     }
 
-    pub(crate) fn record_dag(&mut self, dag: DagMetrics) {
-        self.dag_runs.push(dag);
-    }
-
     /// All executed jobs, in submission order.
     pub fn jobs(&self) -> &[JobMetrics] {
         &self.jobs
-    }
-
-    /// All recorded DAG runs, in submission order.
-    pub fn dag_runs(&self) -> &[DagMetrics] {
-        &self.dag_runs
     }
 
     /// Number of executed jobs.
@@ -229,7 +133,6 @@ impl ClusterMetrics {
     /// Clears the ledger (e.g. between benchmark repetitions).
     pub fn reset(&mut self) {
         self.jobs.clear();
-        self.dag_runs.clear();
     }
 }
 
@@ -269,45 +172,24 @@ mod tests {
     fn reset_clears() {
         let mut c = ClusterMetrics::new();
         c.record(JobMetrics::new("x"));
-        c.record_dag(DagMetrics {
-            dag_name: "d".into(),
-            ..DagMetrics::default()
-        });
-        assert_eq!(c.dag_runs().len(), 1);
         c.reset();
         assert_eq!(c.num_jobs(), 0);
-        assert!(c.dag_runs().is_empty());
+        assert!(c.jobs().is_empty());
     }
 
     #[test]
-    fn dag_metrics_node_lookup_and_json() {
-        let dag = DagMetrics {
-            dag_name: "pipeline".into(),
-            nodes: vec![DagNodeMetrics {
-                node: "histogram".into(),
-                kind: "map-reduce".into(),
-                attempts: 1,
-                executions: 1,
-                recoveries: 0,
-                wall: Duration::from_millis(5),
-            }],
-            concurrency_high_water: 2,
-            cache_hits: 3,
-            ..DagMetrics::default()
-        };
-        assert_eq!(dag.node("histogram").unwrap().attempts, 1);
-        assert!(dag.node("missing").is_none());
-        // The whole ledger (jobs + DAG runs) must round-trip as JSON for
-        // the CLI's --metrics-json dump.
+    fn ledger_round_trips_as_json() {
+        // The whole ledger must round-trip as JSON for the CLI's
+        // --metrics-json dump.
         let mut c = ClusterMetrics::new();
-        c.record(JobMetrics::new("j"));
-        c.record_dag(dag);
+        let mut j = JobMetrics::new("j");
+        j.shuffle_bytes = 42;
+        c.record(j);
         let json = serde_json::to_string(&c).expect("serializes");
         match serde_json::from_str::<ClusterMetrics>(&json) {
             Ok(back) => {
                 assert_eq!(back.num_jobs(), 1);
-                assert_eq!(back.dag_runs().len(), 1);
-                assert_eq!(back.dag_runs()[0].concurrency_high_water, 2);
+                assert_eq!(back.jobs()[0].shuffle_bytes, 42);
             }
             // The offline serde_json stub serializes everything as "{}"
             // and refuses to deserialize; only a stub failure is

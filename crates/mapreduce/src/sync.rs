@@ -36,14 +36,6 @@ pub mod rank {
     /// Above the tenant lock: a finished re-cluster publishes its model
     /// while still holding the tenant it computed it under.
     pub const SERVICE_PUBLISHED: u16 = 35;
-    /// `RunShared` scheduler queue state (`dag.rs`).
-    pub const DAG_QUEUE: u16 = 40;
-    /// DAG recovery serialization (`dag.rs`). Below the node-run slots:
-    /// lineage recovery holds it while re-executing producers, whose
-    /// attempt bookkeeping locks their node-run slot.
-    pub const DAG_RECOVERY: u16 = 45;
-    /// Per-node run state (`dag.rs`).
-    pub const DAG_NODE_RUN: u16 = 48;
     /// Engine metrics ledger (`engine.rs`).
     pub const ENGINE_LEDGER: u16 = 55;
     /// Engine lost-map recovery serialization (`engine.rs`).

@@ -1,6 +1,6 @@
 //! The columnar data plane: `RowBlock` round trips are lossless, both
 //! MapReduce pipelines are byte-identical on row-oriented and columnar
-//! input under both schedulers, and the column-scan binning kernel
+//! input, and the column-scan binning kernel
 //! agrees exactly with the per-row path.
 
 use p3c_suite::core::config::P3cParams;
@@ -8,7 +8,7 @@ use p3c_suite::core::histogram::{build_histograms_columnar, build_histograms_per
 use p3c_suite::core::mr::{P3cPlusMr, P3cPlusMrLight};
 use p3c_suite::datagen::{generate, SyntheticSpec};
 use p3c_suite::dataset::{Dataset, RowBlock};
-use p3c_suite::mapreduce::{Engine, MrConfig, SchedulerChoice};
+use p3c_suite::mapreduce::{Engine, MrConfig};
 use proptest::prelude::*;
 
 fn spec(n: usize, k: usize, seed: u64) -> SyntheticSpec {
@@ -62,31 +62,29 @@ fn row_block_round_trip_is_lossless() {
 fn mr_pipelines_byte_identical_on_row_and_columnar_input() {
     let data = generate(&spec(2500, 3, 19)).dataset;
     let columnar = columnar_round_trip(&data);
-    for scheduler in [SchedulerChoice::Serial, SchedulerChoice::Dag] {
-        let full_rows = P3cPlusMr::new(&engine(), P3cParams::default())
-            .cluster_with(&data, scheduler)
-            .unwrap();
-        let full_cols = P3cPlusMr::new(&engine(), P3cParams::default())
-            .cluster_with(&columnar, scheduler)
-            .unwrap();
-        assert_eq!(
-            format!("{full_rows:?}"),
-            format!("{full_cols:?}"),
-            "full pipeline, {scheduler:?}"
-        );
+    let full_rows = P3cPlusMr::new(&engine(), P3cParams::default())
+        .cluster(&data)
+        .unwrap();
+    let full_cols = P3cPlusMr::new(&engine(), P3cParams::default())
+        .cluster(&columnar)
+        .unwrap();
+    assert_eq!(
+        format!("{full_rows:?}"),
+        format!("{full_cols:?}"),
+        "full pipeline"
+    );
 
-        let light_rows = P3cPlusMrLight::new(&engine(), P3cParams::default())
-            .cluster_with(&data, scheduler)
-            .unwrap();
-        let light_cols = P3cPlusMrLight::new(&engine(), P3cParams::default())
-            .cluster_with(&columnar, scheduler)
-            .unwrap();
-        assert_eq!(
-            format!("{light_rows:?}"),
-            format!("{light_cols:?}"),
-            "light pipeline, {scheduler:?}"
-        );
-    }
+    let light_rows = P3cPlusMrLight::new(&engine(), P3cParams::default())
+        .cluster(&data)
+        .unwrap();
+    let light_cols = P3cPlusMrLight::new(&engine(), P3cParams::default())
+        .cluster(&columnar)
+        .unwrap();
+    assert_eq!(
+        format!("{light_rows:?}"),
+        format!("{light_cols:?}"),
+        "light pipeline"
+    );
 }
 
 /// Seeded twin of the property below, immune to proptest configuration.
